@@ -28,9 +28,13 @@ import (
 
 // killableProxy forwards TCP connections to a backend address; Kill severs
 // every connection it carried (and refuses new ones), which the far side
-// observes as an abrupt connection loss — a worker-process crash.
+// observes as an abrupt connection loss — a worker-process crash. The
+// workers dial the proxy before the coordinator listens, so a connection
+// accepted before SetBackend waits for the backend instead of being dropped.
 type killableProxy struct {
-	ln stdnet.Listener
+	ln    stdnet.Listener
+	ready chan struct{} // closed by the first SetBackend
+	dead  chan struct{} // closed by the first Kill
 
 	mu      sync.Mutex
 	backend string
@@ -44,7 +48,7 @@ func newKillableProxy(t *testing.T) *killableProxy {
 	if err != nil {
 		t.Fatalf("proxy listen: %v", err)
 	}
-	p := &killableProxy{ln: ln}
+	p := &killableProxy{ln: ln, ready: make(chan struct{}), dead: make(chan struct{})}
 	go p.accept()
 	t.Cleanup(p.Kill)
 	return p
@@ -54,14 +58,24 @@ func (p *killableProxy) Addr() string { return p.ln.Addr().String() }
 
 func (p *killableProxy) SetBackend(addr string) {
 	p.mu.Lock()
+	first := p.backend == ""
 	p.backend = addr
 	p.mu.Unlock()
+	if first {
+		close(p.ready)
+	}
 }
 
 func (p *killableProxy) accept() {
 	for {
 		conn, err := p.ln.Accept()
 		if err != nil {
+			return
+		}
+		select {
+		case <-p.ready:
+		case <-p.dead:
+			conn.Close()
 			return
 		}
 		p.mu.Lock()
@@ -93,6 +107,9 @@ func (p *killableProxy) accept() {
 // Kill severs every proxied connection and refuses new ones. Idempotent.
 func (p *killableProxy) Kill() {
 	p.mu.Lock()
+	if !p.killed {
+		close(p.dead)
+	}
 	p.killed = true
 	conns := p.conns
 	p.conns = nil

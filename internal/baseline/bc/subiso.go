@@ -87,8 +87,10 @@ func (p SubIso) InitBlock(ctx *BlockContext) {
 	// Ship the neighbourhood piece-by-piece: one vertex message per vertex
 	// and per edge, to every block sharing a border vertex with this block.
 	targets := map[int]bool{}
+	var dsts []int
 	for v := range seeds {
-		for _, dst := range ctx.GP.Destinations(v, ctx.Block.ID) {
+		dsts = ctx.GP.Destinations(dsts[:0], v, ctx.Block.ID)
+		for _, dst := range dsts {
 			targets[dst] = true
 		}
 	}

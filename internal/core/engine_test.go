@@ -18,14 +18,46 @@ import (
 // minDistProgram is a tiny PIE program used to exercise the engine: it
 // computes unweighted hop distances from a source by BFS inside each
 // fragment (PEval) and propagates improved border distances (IncEval) — a
-// miniature of the paper's SSSP program with all distances kept in update
-// parameters for easy inspection.
+// miniature of the paper's SSSP program. Distances live in a vertex-keyed map
+// in ctx.State (simple rather than fast, and indifferent to epoch changes);
+// border distances are mirrored into update parameters, whose changes the
+// engine ships.
 type minDistProgram struct {
 	source graph.VertexID
 	// peCalls / incCalls count invocations for the tests.
 	mu       sync.Mutex
 	peCalls  int
 	incCalls int
+}
+
+// hopDist is minDistProgram's partial result: the known hop distances.
+type hopDist map[graph.VertexID]float64
+
+func hops(ctx *Context) hopDist {
+	d, _ := ctx.State.(hopDist)
+	if d == nil {
+		d = make(hopDist)
+		ctx.State = d
+	}
+	return d
+}
+
+func (d hopDist) get(v graph.VertexID) float64 {
+	if dv, ok := d[v]; ok {
+		return dv
+	}
+	return math.Inf(1)
+}
+
+// lower improves v's distance to dv, mirroring it into v's update parameter
+// (a no-op for interior vertices), and reports whether it was an improvement.
+func (d hopDist) lower(ctx *Context, v graph.VertexID, dv float64) bool {
+	if dv >= d.get(v) {
+		return false
+	}
+	d[v] = dv
+	ctx.SetVar(v, 0, dv, nil)
+	return true
 }
 
 func (p *minDistProgram) Name() string { return "minDist" }
@@ -42,18 +74,17 @@ func (p *minDistProgram) note(inc bool) {
 
 func (p *minDistProgram) relax(ctx *Context, queue []graph.VertexID) {
 	g := ctx.Fragment.Graph
+	d := hops(ctx)
 	for len(queue) > 0 {
 		v := queue[0]
 		queue = queue[1:]
-		dv := ctx.VarValue(v, 0, math.Inf(1))
 		vi := g.IndexOf(v)
 		if vi < 0 {
 			continue
 		}
+		dv := d.get(v)
 		for _, he := range g.OutEdges(vi) {
-			u := g.VertexAt(int(he.To))
-			if dv+1 < ctx.VarValue(u, 0, math.Inf(1)) {
-				ctx.SetVar(u, 0, dv+1, nil)
+			if u := g.VertexAt(int(he.To)); d.lower(ctx, u, dv+1) {
 				queue = append(queue, u)
 			}
 		}
@@ -63,18 +94,23 @@ func (p *minDistProgram) relax(ctx *Context, queue []graph.VertexID) {
 func (p *minDistProgram) PEval(ctx *Context) error {
 	p.note(false)
 	g := ctx.Fragment.Graph
-	for i := 0; i < g.NumVertices(); i++ {
-		ctx.Declare(g.VertexAt(i), 0, math.Inf(1), nil)
+	d := hops(ctx)
+	for s := 0; s < ctx.Fragment.NumBorder(); s++ {
+		ctx.DeclareAt(s, 0, math.Inf(1), nil)
+	}
+	// Border values received so far: the GRAPE_NI ablation re-runs PEval as
+	// its batch recomputation over them.
+	for _, u := range ctx.Vars() {
+		if v := graph.VertexID(u.Vertex); u.Value < d.get(v) {
+			d[v] = u.Value
+		}
 	}
 	if g.HasVertex(p.source) {
-		ctx.SetVar(p.source, 0, 0, nil)
+		d.lower(ctx, p.source, 0)
 	}
-	// Relax from every vertex with a finite distance so the same PEval also
-	// works as the batch recomputation of the GRAPE_NI ablation.
 	var seeds []graph.VertexID
 	for i := 0; i < g.NumVertices(); i++ {
-		v := g.VertexAt(i)
-		if !math.IsInf(ctx.VarValue(v, 0, math.Inf(1)), 1) {
+		if v := g.VertexAt(i); !math.IsInf(d.get(v), 1) {
 			seeds = append(seeds, v)
 		}
 	}
@@ -84,9 +120,14 @@ func (p *minDistProgram) PEval(ctx *Context) error {
 
 func (p *minDistProgram) IncEval(ctx *Context, msgs []mpi.Update) error {
 	p.note(true)
+	d := hops(ctx)
 	queue := make([]graph.VertexID, 0, len(msgs))
 	for _, m := range msgs {
-		queue = append(queue, graph.VertexID(m.Vertex))
+		v := graph.VertexID(m.Vertex)
+		if m.Value < d.get(v) {
+			d[v] = m.Value
+		}
+		queue = append(queue, v)
 	}
 	p.relax(ctx, queue)
 	return nil
@@ -95,8 +136,9 @@ func (p *minDistProgram) IncEval(ctx *Context, msgs []mpi.Update) error {
 func (p *minDistProgram) Assemble(q Query, ctxs []*Context) (any, error) {
 	out := make(map[graph.VertexID]float64)
 	for _, ctx := range ctxs {
+		d, _ := ctx.State.(hopDist)
 		for _, v := range ctx.Fragment.Local {
-			out[v] = ctx.VarValue(v, 0, math.Inf(1))
+			out[v] = d.get(v)
 		}
 	}
 	return out, nil
@@ -485,33 +527,63 @@ func TestKeyValueWithoutHandlerFails(t *testing.T) {
 	}
 }
 
+// borderAndInterior returns two border vertices and one interior vertex of
+// frag, in ascending order for the border pair.
+func borderAndInterior(t *testing.T, frag *partition.Fragment) (b0, b1, interior graph.VertexID) {
+	t.Helper()
+	if frag.NumBorder() < 2 {
+		t.Fatalf("fragment %d has %d border vertices, want >= 2", frag.ID, frag.NumBorder())
+	}
+	for i := 0; i < frag.Graph.NumVertices(); i++ {
+		if frag.Slot(i) < 0 {
+			return frag.Border()[0], frag.Border()[1], frag.Graph.VertexAt(i)
+		}
+	}
+	t.Fatalf("fragment %d has no interior vertex", frag.ID)
+	return
+}
+
 func TestContextVarAccessors(t *testing.T) {
 	g := testGraph()
 	p := partition.Partition(g, 2, partition.Hash{})
 	ctx := newContext(0, p.Fragments[0], p.GP, nil)
+	b0, b1, interior := borderAndInterior(t, p.Fragments[0])
 
-	if _, ok := ctx.Var(1, 0); ok {
+	if _, ok := ctx.Var(b0, 0); ok {
 		t.Fatalf("Var before Declare should not exist")
 	}
-	if got := ctx.VarValue(1, 0, -5); got != -5 {
+	if got := ctx.VarValue(b0, 0, -5); got != -5 {
 		t.Fatalf("VarValue default = %v, want -5", got)
 	}
-	ctx.Declare(1, 0, 10, nil)
+	if ctx.rows != nil {
+		t.Fatalf("reading parameters must not allocate the table")
+	}
+	ctx.Declare(b0, 0, 10, nil)
 	if ctx.LocalUpdates() != 0 {
 		t.Fatalf("Declare must not count as an update")
 	}
-	ctx.SetVar(1, 0, 10, nil) // unchanged value: no dirty mark
-	if len(ctx.dirty) != 0 {
+	ctx.SetVar(b0, 0, 10, nil) // unchanged value: no dirty mark
+	if ctx.hasDirty() {
 		t.Fatalf("SetVar with unchanged value should not mark dirty")
 	}
-	ctx.SetVar(1, 0, 3, nil)
-	if len(ctx.dirty) != 1 || ctx.LocalUpdates() != 1 {
-		t.Fatalf("SetVar with new value should mark dirty")
+	if !ctx.SetVar(b0, 0, 3, nil) {
+		t.Fatalf("SetVar on border vertex %d reported no slot", b0)
 	}
-	ctx.SetVar(2, 1, 7, []byte("x"))
+	if d := ctx.takeDirty(nil); len(d) != 1 || d[0].Value != 3 || ctx.LocalUpdates() != 1 {
+		t.Fatalf("SetVar with new value should mark dirty, took %+v", d)
+	}
+	ctx.SetVar(b1, 1, 7, []byte("x"))
 	vars := ctx.Vars()
-	if len(vars) != 2 || vars[0].Vertex != 1 || vars[1].Vertex != 2 {
+	if len(vars) != 2 || vars[0].Vertex != int64(b0) || vars[1].Vertex != int64(b1) || string(vars[1].Data) != "x" {
 		t.Fatalf("Vars() = %+v", vars)
+	}
+	// An interior vertex has no slot: its parameter can never ship, so
+	// declaring or setting it is a no-op, and both calls report it.
+	if ctx.Declare(interior, 0, 1, nil) || ctx.SetVar(interior, 0, 2, nil) {
+		t.Fatalf("Declare/SetVar on interior vertex %d reported a slot", interior)
+	}
+	if _, ok := ctx.Var(interior, 0); ok || ctx.MarkDirty(interior, 0) || ctx.LocalUpdates() != 2 {
+		t.Fatalf("interior vertex %d got a parameter", interior)
 	}
 }
 
@@ -519,25 +591,34 @@ func TestApplyIncomingAggregation(t *testing.T) {
 	g := testGraph()
 	p := partition.Partition(g, 2, partition.Hash{})
 	ctx := newContext(0, p.Fragments[0], p.GP, nil)
-	ctx.Declare(5, 0, 10, nil)
+	b0, b1, interior := borderAndInterior(t, p.Fragments[0])
+	ctx.Declare(b0, 0, 10, nil)
 
 	accepted := ctx.applyIncoming([]mpi.Update{
-		{Vertex: 5, Key: 0, Value: 12}, // worse: rejected by min
-		{Vertex: 5, Key: 0, Value: 4},  // better: accepted
-		{Vertex: 9, Key: 0, Value: 2},  // undeclared: accepted as-is
+		{Vertex: int64(b0), Key: 0, Value: 12}, // worse: rejected by min
+		{Vertex: int64(b0), Key: 0, Value: 4},  // better: accepted
+		{Vertex: int64(b1), Key: 0, Value: 2},  // undeclared: accepted as-is
 	}, MinAggregate)
 	if len(accepted) != 2 {
 		t.Fatalf("accepted %d updates, want 2 (%+v)", len(accepted), accepted)
 	}
-	if got := ctx.VarValue(5, 0, -1); got != 4 {
+	if got := ctx.VarValue(b0, 0, -1); got != 4 {
 		t.Fatalf("aggregated value = %v, want 4", got)
 	}
-	if got := ctx.VarValue(9, 0, -1); got != 2 {
+	if got := ctx.VarValue(b1, 0, -1); got != 2 {
 		t.Fatalf("new variable value = %v, want 2", got)
 	}
 	// Incoming changes are not marked dirty.
-	if len(ctx.dirty) != 0 {
+	if ctx.hasDirty() {
 		t.Fatalf("applyIncoming must not mark dirty")
+	}
+	// An update for a vertex without a slot has nothing to merge into: it
+	// is passed through to IncEval and not stored.
+	if got := ctx.applyIncoming([]mpi.Update{{Vertex: int64(interior), Value: 1}}, MinAggregate); len(got) != 1 {
+		t.Fatalf("interior update accepted %d times, want 1", len(got))
+	}
+	if _, ok := ctx.Var(interior, 0); ok {
+		t.Fatalf("interior update was stored")
 	}
 }
 

@@ -33,6 +33,24 @@
 // re-delivered batches still converge to the BSP answer. Select the plane
 // with Options.Mode or per query with Session.RunMode.
 //
+// # Update parameters and border slots
+//
+// The update parameters Ci.x̄ live only on border vertices: a parameter of an
+// interior vertex has no other fragment to inform. Every fragment numbers its
+// border vertices Fi.I ∪ Fi.O once, as slots in ascending vertex-ID order
+// (partition.Fragment.Border), and a Context stores its parameters in a dense
+// table indexed by slot — one float64 per slot per parameter key, has/dirty
+// bitsets, a bitset of the dirty slots, and a payload column only for
+// programs that ship Data. Programs with dense per-vertex state address it by
+// slot (DeclareAt/SetVarAt/VarAt, with Fragment.BorderIndex mapping a slot to
+// its dense vertex index); the vertex-addressed Declare/SetVar/Var resolve the
+// slot first, and Declare/SetVar return false for a vertex without one.
+// Per-vertex working state of interior vertices belongs in State. takeDirty emits in slot order, which is (vertex, key) order, so
+// the routed batches are sorted; route fills one batch per destination rank
+// from pooled scratch, so a superstep allocates only the payloads it sends.
+// When a view's context moves to a new epoch, the table is remapped by
+// vertex ID; fragments an update batch leaves untouched keep their slots.
+//
 // # Intra-fragment parallelism
 //
 // Orthogonal to both planes, Options.Parallelism gives every worker a sweep

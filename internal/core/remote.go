@@ -319,8 +319,7 @@ func (h *WorkerHost) ApplyUpdate(epoch, floor int64, gp *partition.FragGraph, fr
 		w := next[key.rank]
 		en.oldFrag = en.t.ctx.Fragment
 		en.t.worker = w
-		en.t.ctx.Fragment = w.frag
-		en.t.ctx.GP = gp
+		en.t.ctx.rebind(w.frag, gp)
 	}
 	return nil
 }

@@ -21,20 +21,16 @@ type deltaMinDist struct {
 
 func (p *deltaMinDist) EvalDelta(ctx *Context, d FragmentDelta) (bool, error) {
 	p.deltaCalls.Add(1)
+	dist := hops(ctx)
 	var seeds []graph.VertexID
 	for _, op := range d.Ops {
 		switch op.Kind {
 		case graph.UpdateAddVertex:
-			ctx.Declare(op.Src, 0, math.Inf(1), nil)
-			if op.Src == p.source {
-				ctx.SetVar(op.Src, 0, 0, nil)
+			if op.Src == p.source && dist.lower(ctx, op.Src, 0) {
 				seeds = append(seeds, op.Src)
 			}
 		case graph.UpdateAddEdge:
-			ctx.Declare(op.Src, 0, math.Inf(1), nil)
-			ctx.Declare(op.Dst, 0, math.Inf(1), nil)
-			if du := ctx.VarValue(op.Src, 0, math.Inf(1)); du+1 < ctx.VarValue(op.Dst, 0, math.Inf(1)) {
-				ctx.SetVar(op.Dst, 0, du+1, nil)
+			if dist.lower(ctx, op.Dst, dist.get(op.Src)+1) {
 				seeds = append(seeds, op.Dst)
 			}
 		case graph.UpdateReweightEdge:
@@ -44,8 +40,12 @@ func (p *deltaMinDist) EvalDelta(ctx *Context, d FragmentDelta) (bool, error) {
 		}
 	}
 	p.relax(ctx, seeds)
+	// A newly mirrored vertex may have been interior, with no parameter yet.
 	for _, v := range d.NewInBorder {
-		ctx.MarkDirty(v, 0)
+		if dv := dist.get(v); !math.IsInf(dv, 1) {
+			ctx.SetVar(v, 0, dv, nil)
+			ctx.MarkDirty(v, 0)
+		}
 	}
 	return true, nil
 }

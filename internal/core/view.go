@@ -209,8 +209,7 @@ func (v *View) maintain(part *partition.Partitioned, workers []*worker, res *par
 		// when the epoch was installed; these coordinator-side ones hold the
 		// partial results Assemble reads.)
 		for i, ctx := range v.ctxs {
-			ctx.Fragment = part.Fragments[i]
-			ctx.GP = part.GP
+			ctx.rebind(part.Fragments[i], part.GP)
 		}
 		out, incErr := co.maintainIncremental(dp, v.ctxs, v.query, res, remoteQuery)
 		switch incErr {

@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"sync"
 
 	"grape/internal/graph"
 	"grape/internal/mpi"
@@ -197,29 +197,10 @@ func (t *task) incremental(superstep int, envs []mpi.Envelope) error {
 // destinations in parallel, avoiding a coordinator bottleneck).
 func (t *task) route() {
 	w := t.worker.rank
-	dirty := t.ctx.takeDirty()
-	if len(dirty) > 0 {
-		perDest := make(map[int][]mpi.Update)
-		for _, u := range dirty {
-			for _, dst := range t.worker.gp.Destinations(graph.VertexID(u.Vertex), w) {
-				perDest[dst] = append(perDest[dst], u)
-			}
-		}
-		dests := make([]int, 0, len(perDest))
-		for d := range perDest {
-			dests = append(dests, d)
-		}
-		sort.Ints(dests)
-		for _, dst := range dests {
-			batch := perDest[dst]
-			if t.opts.DisableGrouping {
-				for _, u := range batch {
-					t.comm.Send(w, dst, tagUpdates, mpi.EncodeUpdates([]mpi.Update{u}))
-				}
-			} else {
-				t.comm.Send(w, dst, tagUpdates, mpi.EncodeUpdates(batch))
-			}
-		}
+	if t.ctx.hasDirty() {
+		sc := routePool.Get().(*routeScratch)
+		t.routeUpdates(sc)
+		routePool.Put(sc)
 	}
 	for _, kv := range t.ctx.takeKV() {
 		dst := int(hashKey(kv.Key) % uint32(t.m))
@@ -228,6 +209,51 @@ func (t *task) route() {
 	for _, raw := range t.ctx.takeRaw() {
 		t.comm.Send(w, raw.dst, tagRaw, raw.data)
 	}
+}
+
+// routeScratch is route's working memory: the dirty parameters, one batch
+// per destination rank and a destinations buffer. It is pooled rather than
+// kept on the task, so the only allocations of routing are the encoded
+// payloads it sends, and long-lived view tasks hold no scratch between
+// maintenance rounds.
+type routeScratch struct {
+	dirty   []mpi.Update
+	batches [][]mpi.Update
+	dests   []int
+}
+
+var routePool = sync.Pool{New: func() any { return new(routeScratch) }}
+
+// routeUpdates fills the per-rank batches from the dirty parameters and sends
+// one envelope per destination in ascending rank order. takeDirty emits in
+// (vertex, key) order, so every batch is sorted too.
+func (t *task) routeUpdates(sc *routeScratch) {
+	w := t.worker.rank
+	if len(sc.batches) < t.m {
+		sc.batches = make([][]mpi.Update, t.m)
+	}
+	sc.dirty = t.ctx.takeDirty(sc.dirty[:0])
+	for _, u := range sc.dirty {
+		sc.dests = t.worker.gp.Destinations(sc.dests[:0], graph.VertexID(u.Vertex), w)
+		for _, dst := range sc.dests {
+			sc.batches[dst] = append(sc.batches[dst], u)
+		}
+	}
+	for dst, batch := range sc.batches[:t.m] {
+		if len(batch) == 0 {
+			continue
+		}
+		if t.opts.DisableGrouping {
+			for i := range batch {
+				t.comm.Send(w, dst, tagUpdates, mpi.EncodeUpdates(batch[i:i+1]))
+			}
+		} else {
+			t.comm.Send(w, dst, tagUpdates, mpi.EncodeUpdates(batch))
+		}
+		clear(batch) // drop payload references before the scratch is pooled
+		sc.batches[dst] = batch[:0]
+	}
+	clear(sc.dirty)
 }
 
 func hashKey(key string) uint32 {

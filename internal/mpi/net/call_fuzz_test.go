@@ -37,9 +37,10 @@ func (fuzzHandler) Restore(int, uint64, int64, string, []byte, []byte) error {
 func (fuzzHandler) Adopt(int64, *partition.FragGraph, []*partition.Fragment) error { return nil }
 func (fuzzHandler) ReleaseFragment(int) error                                      { return nil }
 
-// fuzzShipBody encodes a well-formed [gpBytes][count][rank fragBytes]... tail
-// shared by the update and adopt calls.
-func fuzzShipBody(tb testing.TB) []byte {
+// fuzzShipBody encodes a [gpBytes][count][rank fragBytes]... tail shared by
+// the update and adopt calls. With a non-nil mutate, each fragment is altered
+// before encoding, which yields well-framed but inconsistent fragments.
+func fuzzShipBody(tb testing.TB, mutate func(*partition.Fragment)) []byte {
 	tb.Helper()
 	b := graph.NewBuilder(true)
 	for v := 0; v < 8; v++ {
@@ -50,6 +51,11 @@ func fuzzShipBody(tb testing.TB) []byte {
 	body = appendBytes(body, partition.EncodeFragGraph(p.GP))
 	body = binary.AppendUvarint(body, uint64(len(p.Fragments)))
 	for _, f := range p.Fragments {
+		if mutate != nil {
+			c := *f
+			mutate(&c)
+			f = &c
+		}
 		body = binary.AppendUvarint(body, uint64(f.ID))
 		body = appendBytes(body, partition.EncodeFragment(f))
 	}
@@ -63,7 +69,7 @@ func fuzzShipBody(tb testing.TB) []byte {
 // as panics or runaway allocations; handleCall runs with a nil metrics sink
 // exactly as the transport does before registration completes.
 func FuzzCallBody(f *testing.F) {
-	ship := fuzzShipBody(f)
+	ship := fuzzShipBody(f, nil)
 
 	// Well-formed bodies for each kind under test.
 	var restore []byte
@@ -104,6 +110,13 @@ func FuzzCallBody(f *testing.F) {
 	bomb = binary.AppendUvarint(bomb, 1<<33) // fragment count bomb
 	f.Add(byte(callAdopt), bomb)
 	f.Add(byte(0xEE), []byte{1, 2, 3}) // unknown kind
+	// A fragment listing an out-border vertex its graph does not contain.
+	var ghost []byte
+	ghost = binary.AppendUvarint(ghost, 5) // epoch
+	ghost = append(ghost, fuzzShipBody(f, func(fr *partition.Fragment) {
+		fr.OutBorder = append(append([]graph.VertexID(nil), fr.OutBorder...), 1<<20)
+	})...)
+	f.Add(byte(callAdopt), ghost)
 
 	opts := WorkerOptions{}
 	f.Fuzz(func(t *testing.T, kind byte, body []byte) {

@@ -288,6 +288,56 @@ func TestWorkerDialBackoff(t *testing.T) {
 	waitWorkers()
 }
 
+// TestWorkerRedialsAfterEarlyClose: a connection the far side closes before
+// the welcome frame — what a proxy or load balancer in front of a coordinator
+// that is not serving yet does — is retried within DialTimeout, like a
+// refused dial, instead of failing the worker.
+func TestWorkerRedialsAfterEarlyClose(t *testing.T) {
+	pre, err := stdnet.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	addr := pre.Addr().String()
+	waitWorkers := startWorkers(t, addr, 1)
+
+	// Take the worker's first connection, wait for its hello to start
+	// arriving, and drop it before any welcome is sent.
+	conn, err := pre.Accept()
+	if err != nil {
+		t.Fatalf("accept: %v", err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err != nil {
+		t.Fatalf("reading the worker's hello: %v", err)
+	}
+	conn.Close()
+	pre.Close()
+
+	g := randomGraph(t, 40, 40, 3)
+	p := partition.Partition(g, 2, partition.Hash{})
+	ln, err := grapenet.Listen(addr)
+	if err != nil {
+		t.Fatalf("Listen(%s): %v", addr, err)
+	}
+	cl, err := ln.Serve(p, 1, 10*time.Second)
+	if err != nil {
+		t.Fatalf("Serve after the dropped connection: %v", err)
+	}
+	s, err := core.NewSessionRemote(p, core.Options{}, cl, []core.RemotePeer{cl.Peer(0), cl.Peer(1)})
+	if err != nil {
+		t.Fatalf("NewSessionRemote: %v", err)
+	}
+	res, err := s.Run(graph.VertexID(0), pie.SSSP{})
+	if err != nil {
+		t.Fatalf("SSSP after redial: %v", err)
+	}
+	if len(res.Output.(map[graph.VertexID]float64)) != g.NumVertices() {
+		t.Fatalf("incomplete SSSP answer after redial")
+	}
+	s.Close()
+	waitWorkers()
+}
+
 // TestGracefulShutdown: closing the session sends the shutdown frame and
 // every worker loop returns nil (asserted by startWorkers' waiter); double
 // Close stays idempotent.

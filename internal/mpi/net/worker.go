@@ -3,11 +3,14 @@ package net
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"strings"
 	"sync"
+	"syscall"
 	"time"
 
 	"grape/internal/graph"
@@ -79,7 +82,7 @@ func newWorkerMetrics(reg *obs.Registry) *workerMetrics {
 		epochs: reg.Counter("grape_worker_epochs_installed_total",
 			"Residency epochs installed from update-batch calls."),
 		dialRetries: reg.Counter("grape_worker_dial_retries_total",
-			"Coordinator dial attempts that failed and were retried."),
+			"Coordinator connection attempts (refused dials, connections closed before the welcome) that failed and were retried."),
 	}
 }
 
@@ -191,23 +194,13 @@ func RunWorkerCtx(ctx context.Context, addr string, h Handler, opts WorkerOption
 		}
 	}()
 	wm := newWorkerMetrics(reg)
-	conn, retries, err := dialBackoff(ctx, addr, opts)
-	wm.dialRetries.Add(float64(retries))
+	conn, ranks, frags, gp, err := connect(ctx, addr, opts, wm)
 	if err != nil {
 		return err
 	}
 	defer conn.Close()
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
 	defer stop()
-	if tc, ok := conn.(*net.TCPConn); ok {
-		_ = tc.SetKeepAlive(true)
-		_ = tc.SetKeepAlivePeriod(30 * time.Second)
-	}
-
-	ranks, frags, gp, err := handshakeCoordinator(conn, opts)
-	if err != nil {
-		return err
-	}
 	if err := h.Setup(frags, gp); err != nil {
 		msg := fmt.Sprintf("fragment setup failed: %v", err)
 		_ = writeFrame(conn, appendString([]byte{ftError}, msg))
@@ -480,40 +473,67 @@ func parseFragmentShip(r *reader) (*partition.FragGraph, []*partition.Fragment, 
 	return gp, frags, nil
 }
 
-// dialBackoff dials the coordinator with exponential backoff until the
-// options' dial budget is exhausted. It returns how many attempts failed and
-// were retried alongside the connection.
-func dialBackoff(ctx context.Context, addr string, opts WorkerOptions) (net.Conn, int, error) {
+// errClosedBeforeWelcome marks a handshake whose connection the far side
+// closed before the coordinator's welcome frame arrived.
+var errClosedBeforeWelcome = errors.New("connection closed before the welcome frame")
+
+// closedByPeer reports whether err is the far side closing the connection.
+func closedByPeer(err error) bool {
+	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
+		errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.EPIPE)
+}
+
+// connect dials the coordinator and performs the handshake, all within one
+// DialTimeout budget (zero means 30 seconds). Refused dials are retried with
+// exponential backoff — workers may legitimately start before the
+// coordinator listens — and so is a connection the far side closes before
+// the welcome frame: a proxy or load balancer in front of a coordinator that
+// is not serving yet accepts and then drops exactly like that. Every other
+// handshake failure (a rejection, a version mismatch, a malformed frame, a
+// timeout) is final.
+func connect(ctx context.Context, addr string, opts WorkerOptions, wm *workerMetrics) (net.Conn, []int, []*partition.Fragment, *partition.FragGraph, error) {
 	budget := opts.DialTimeout
 	if budget <= 0 {
 		budget = 30 * time.Second
 	}
 	deadline := time.Now().Add(budget)
 	delay := 50 * time.Millisecond
-	retries := 0
-	var d net.Dialer
-	d.Deadline = deadline
+	d := net.Dialer{Deadline: deadline}
 	for attempt := 1; ; attempt++ {
 		conn, err := d.DialContext(ctx, "tcp", addr)
 		if err == nil {
-			return conn, retries, nil
+			if tc, ok := conn.(*net.TCPConn); ok {
+				_ = tc.SetKeepAlive(true)
+				_ = tc.SetKeepAlivePeriod(30 * time.Second)
+			}
+			stop := context.AfterFunc(ctx, func() { conn.Close() })
+			ranks, frags, gp, herr := handshakeCoordinator(conn, opts)
+			stop()
+			if herr == nil {
+				return conn, ranks, frags, gp, nil
+			}
+			conn.Close()
+			if ctx.Err() == nil && !errors.Is(herr, errClosedBeforeWelcome) {
+				return nil, nil, nil, nil, herr
+			}
+			err = herr
 		}
 		if ctx.Err() != nil {
-			return nil, retries, ctx.Err()
+			return nil, nil, nil, nil, ctx.Err()
 		}
 		if time.Now().Add(delay).After(deadline) {
-			return nil, retries, fmt.Errorf("net: dialing coordinator %s: %w", addr, err)
+			return nil, nil, nil, nil, fmt.Errorf("net: connecting to coordinator %s: %w", addr, err)
 		}
-		retries++
+		wm.dialRetries.Inc()
 		obsDialRetries.Inc()
-		opts.loga(slog.LevelInfo, "dial failed; retrying",
+		opts.loga(slog.LevelInfo, "connecting failed; retrying",
 			"addr", addr, "attempt", attempt, "err", err, "retry_in", delay)
 		pause := time.NewTimer(delay)
 		select {
 		case <-pause.C:
 		case <-ctx.Done():
 			pause.Stop()
-			return nil, retries, ctx.Err()
+			return nil, nil, nil, nil, ctx.Err()
 		}
 		if delay *= 2; delay > 2*time.Second {
 			delay = 2 * time.Second
@@ -534,11 +554,17 @@ func handshakeCoordinator(conn net.Conn, opts WorkerOptions) ([]int, []*partitio
 	}
 	hello = append(hello, flags)
 	if err := writeFrame(conn, hello); err != nil {
+		if closedByPeer(err) {
+			return nil, nil, nil, fmt.Errorf("net: sending hello: %w: %w", errClosedBeforeWelcome, err)
+		}
 		return nil, nil, nil, fmt.Errorf("net: sending hello: %w", err)
 	}
 
 	payload, err := readFrame(conn)
 	if err != nil {
+		if closedByPeer(err) {
+			return nil, nil, nil, fmt.Errorf("net: awaiting welcome: %w: %w", errClosedBeforeWelcome, err)
+		}
 		return nil, nil, nil, fmt.Errorf("net: awaiting welcome: %w", err)
 	}
 	r := &reader{buf: payload}

@@ -58,7 +58,48 @@ func DecodeFragment(buf []byte) (*Fragment, error) {
 	for _, v := range f.Local {
 		f.local[v] = true
 	}
+	if err := f.checkSets(); err != nil {
+		return nil, fmt.Errorf("partition: decode fragment: %w", err)
+	}
+	f.numberBorders()
 	return f, nil
+}
+
+// checkSets verifies the invariants Build and ApplyUpdates guarantee and
+// border slots rely on: the three ID lists are strictly ascending, every
+// owned vertex is in Graph, Fi.I ⊆ Vi, and the vertices of Graph that the
+// fragment does not own are exactly Fi.O. A frame that breaks them is
+// rejected rather than numbered, so no slot can point outside Graph.
+func (f *Fragment) checkSets() error {
+	for _, set := range []struct {
+		name string
+		ids  []graph.VertexID
+	}{{"owned", f.Local}, {"in-border", f.InBorder}, {"out-border", f.OutBorder}} {
+		for i := 1; i < len(set.ids); i++ {
+			if set.ids[i] <= set.ids[i-1] {
+				return fmt.Errorf("%s set not strictly ascending at %d", set.name, set.ids[i])
+			}
+		}
+	}
+	for _, v := range f.Local {
+		if f.Graph.IndexOf(v) < 0 {
+			return fmt.Errorf("owned vertex %d missing from fragment graph", v)
+		}
+	}
+	for _, v := range f.InBorder {
+		if !f.local[v] {
+			return fmt.Errorf("in-border vertex %d not owned by the fragment", v)
+		}
+	}
+	for _, v := range f.OutBorder {
+		if f.local[v] || f.Graph.IndexOf(v) < 0 {
+			return fmt.Errorf("out-border vertex %d owned or missing from fragment graph", v)
+		}
+	}
+	if n := f.Graph.NumVertices(); n != len(f.Local)+len(f.OutBorder) {
+		return fmt.Errorf("fragment graph has %d vertices, want %d owned + %d out-border", n, len(f.Local), len(f.OutBorder))
+	}
+	return nil
 }
 
 // EncodeFragGraph serializes the fragmentation graph GP, which every worker

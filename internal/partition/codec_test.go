@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"grape/internal/graph"
@@ -121,7 +122,7 @@ func TestFragmentCodecRoundTrip(t *testing.T) {
 					t.Fatalf("GP mirrors of %d differ", v)
 				}
 				for from := 0; from < tc.m; from++ {
-					if !reflect.DeepEqual(gp.Destinations(v, from), p.GP.Destinations(v, from)) {
+					if !reflect.DeepEqual(gp.Destinations(nil, v, from), p.GP.Destinations(nil, v, from)) {
 						t.Fatalf("GP destinations of %d from %d differ", v, from)
 					}
 				}
@@ -155,5 +156,46 @@ func TestFragmentCodecRejectsCorruptInput(t *testing.T) {
 		if _, err := DecodeFragGraph(gpEnc[:cut]); err == nil {
 			t.Fatalf("decoded GP truncated at %d bytes", cut)
 		}
+	}
+}
+
+// TestFragmentCodecRejectsInconsistentSets checks that a well-framed fragment
+// whose ID sets contradict its graph is rejected instead of being numbered:
+// border slots index Graph, so a border vertex outside it must never decode.
+func TestFragmentCodecRejectsInconsistentSets(t *testing.T) {
+	g := codecGraph(true, 40, 60, 9)
+	base := Partition(g, 3, Hash{}).Fragments[0]
+	if len(base.InBorder) == 0 || len(base.OutBorder) == 0 {
+		t.Fatalf("fixture needs both border sets, got |I|=%d |O|=%d", len(base.InBorder), len(base.OutBorder))
+	}
+	absent := graph.VertexID(1 << 40)
+	with := func(ids []graph.VertexID, v graph.VertexID) []graph.VertexID {
+		out := append([]graph.VertexID(nil), ids...)
+		out = append(out, v)
+		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+		return out
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(f *Fragment)
+	}{
+		{"out-border absent from graph", func(f *Fragment) { f.OutBorder = with(f.OutBorder, absent) }},
+		{"in-border absent from graph", func(f *Fragment) { f.InBorder = with(f.InBorder, absent) }},
+		{"owned absent from graph", func(f *Fragment) { f.Local = with(f.Local, absent) }},
+		{"in-border not owned", func(f *Fragment) { f.InBorder = with(f.InBorder, f.OutBorder[0]) }},
+		{"out-border owned", func(f *Fragment) { f.OutBorder = with(f.OutBorder, f.Local[0]) }},
+		{"copy missing from out-border", func(f *Fragment) { f.OutBorder = f.OutBorder[1:] }},
+		{"duplicate in-border", func(f *Fragment) { f.InBorder = append([]graph.VertexID{f.InBorder[0]}, f.InBorder...) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := *base
+			tc.mutate(&f)
+			if _, err := DecodeFragment(EncodeFragment(&f)); err == nil {
+				t.Fatalf("decoded an inconsistent fragment")
+			}
+		})
+	}
+	if _, err := DecodeFragment(EncodeFragment(base)); err != nil {
+		t.Fatalf("consistent fragment rejected: %v", err)
 	}
 }

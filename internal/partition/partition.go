@@ -57,6 +57,14 @@ type Fragment struct {
 	OutBorder []graph.VertexID
 
 	local map[graph.VertexID]bool
+
+	// Border slots: Fi.I ∪ Fi.O numbered once, in ascending vertex-ID order.
+	// border[s] is the vertex in slot s, borderIdx[s] its dense index in
+	// Graph, and slotOf maps a dense index back to its slot (-1 for interior
+	// vertices). They are set by numberBorders whenever the border sets are.
+	border    []graph.VertexID
+	borderIdx []int32
+	slotOf    []int32
 }
 
 // Owns reports whether the fragment owns vertex v.
@@ -64,6 +72,55 @@ func (f *Fragment) Owns(v graph.VertexID) bool { return f.local[v] }
 
 // NumLocal returns |Vi|.
 func (f *Fragment) NumLocal() int { return len(f.Local) }
+
+// NumBorder returns |Fi.I ∪ Fi.O|, the number of border slots.
+func (f *Fragment) NumBorder() int { return len(f.border) }
+
+// Border returns the border vertices Fi.I ∪ Fi.O in slot order, which is
+// ascending vertex-ID order. The returned slice must not be modified.
+func (f *Fragment) Border() []graph.VertexID { return f.border }
+
+// BorderIndex returns the dense index in Graph of the vertex in border slot s.
+func (f *Fragment) BorderIndex(s int) int { return int(f.borderIdx[s]) }
+
+// Slot returns the border slot of the vertex at dense index i of Graph, or -1
+// when that vertex is interior to the fragment.
+func (f *Fragment) Slot(i int) int { return int(f.slotOf[i]) }
+
+// SlotOf returns the border slot of vertex v, or -1 when v is interior to
+// the fragment or not in it at all.
+func (f *Fragment) SlotOf(v graph.VertexID) int {
+	if i := f.Graph.IndexOf(v); i >= 0 {
+		return int(f.slotOf[i])
+	}
+	return -1
+}
+
+// numberBorders assigns the border slots: it merges the two sorted, disjoint
+// border lists and indexes them against Graph. Every border vertex is
+// present in Graph (owned vertices always are, and Fi.O is exactly the set
+// of copies), so every slot has a dense index.
+func (f *Fragment) numberBorders() {
+	in, out := f.InBorder, f.OutBorder
+	f.border = make([]graph.VertexID, 0, len(in)+len(out))
+	for len(in) > 0 || len(out) > 0 {
+		if len(out) == 0 || (len(in) > 0 && in[0] < out[0]) {
+			f.border, in = append(f.border, in[0]), in[1:]
+		} else {
+			f.border, out = append(f.border, out[0]), out[1:]
+		}
+	}
+	f.slotOf = make([]int32, f.Graph.NumVertices())
+	for i := range f.slotOf {
+		f.slotOf[i] = -1
+	}
+	f.borderIdx = make([]int32, len(f.border))
+	for s, v := range f.border {
+		i := f.Graph.IndexOf(v)
+		f.borderIdx[s] = int32(i)
+		f.slotOf[i] = int32(s)
+	}
+}
 
 // FragGraph is the fragmentation graph GP: an index that, for every border
 // vertex, records which fragment owns it and which fragments hold copies of
@@ -94,31 +151,33 @@ func (gp *FragGraph) Mirrors(v graph.VertexID) []int { return gp.mirrors[v] }
 // whether at least one fragment other than its owner holds a copy of it.
 func (gp *FragGraph) IsBorder(v graph.VertexID) bool { return len(gp.mirrors[v]) > 0 }
 
-// Destinations returns every fragment that must be informed when the value of
-// border vertex v changes at fragment from: the owner of v and every mirror,
-// excluding from itself. Destinations returns nil for non-border vertices
-// whose owner is from.
-func (gp *FragGraph) Destinations(v graph.VertexID, from int) []int {
-	var out []int
-	if o := gp.Owner(v); o >= 0 && o != from {
-		out = append(out, o)
+// Destinations appends to dst, in ascending order, every fragment that must
+// be informed when the value of border vertex v changes at fragment from:
+// the owner of v and every mirror, excluding from itself. Nothing is
+// appended for a non-border vertex whose owner is from. It allocates only
+// when dst lacks capacity, so routing loops can reuse one buffer.
+func (gp *FragGraph) Destinations(dst []int, v graph.VertexID, from int) []int {
+	o := gp.Owner(v)
+	if o == from {
+		o = -1
 	}
+	// The mirrors are sorted; merging the owner into them keeps the order
+	// (and drops it should it also be listed as a mirror).
 	for _, mi := range gp.mirrors[v] {
-		if mi != from && (len(out) == 0 || !containsInt(out, mi)) {
-			out = append(out, mi)
+		if o >= 0 && o <= mi {
+			if o < mi {
+				dst = append(dst, o)
+			}
+			o = -1
+		}
+		if mi != from {
+			dst = append(dst, mi)
 		}
 	}
-	sort.Ints(out)
-	return out
-}
-
-func containsInt(s []int, x int) bool {
-	for _, v := range s {
-		if v == x {
-			return true
-		}
+	if o >= 0 {
+		dst = append(dst, o)
 	}
-	return false
+	return dst
 }
 
 // BorderVertices returns all border vertices in ascending order.
@@ -278,6 +337,7 @@ func Build(g *graph.Graph, assign []int, m int, strategyName string) *Partitione
 		frag.Local = sortedIDs(locals[f])
 		frag.InBorder = sortedIDs(inBorder[f])
 		frag.OutBorder = sortedIDs(outBorder[f])
+		frag.numberBorders()
 		for _, v := range frag.OutBorder {
 			gp.mirrors[v] = append(gp.mirrors[v], f)
 		}

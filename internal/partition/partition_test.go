@@ -2,6 +2,7 @@ package partition
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -94,7 +95,7 @@ func TestBorderSetsConsistentWithGP(t *testing.T) {
 				if owner := p.GP.Owner(v); owner == f.ID || owner < 0 {
 					t.Fatalf("%s: GP owner of out-border %d = %d", s.Name(), v, owner)
 				}
-				if !containsInt(p.GP.Mirrors(v), f.ID) {
+				if !slices.Contains(p.GP.Mirrors(v), f.ID) {
 					t.Fatalf("%s: GP does not record fragment %d as mirror of %d", s.Name(), f.ID, v)
 				}
 			}
@@ -120,12 +121,12 @@ func TestDestinations(t *testing.T) {
 	p := Build(g, []int{0, 1, 2}, 3, "manual")
 
 	// Vertex 1 is owned by fragment 1 and mirrored at fragment 0.
-	dsts := p.GP.Destinations(1, 0)
+	dsts := p.GP.Destinations(nil, 1, 0)
 	if len(dsts) != 1 || dsts[0] != 1 {
 		t.Fatalf("Destinations(1, from=0) = %v, want [1]", dsts)
 	}
 	// From the owner, the update needs to reach the mirror.
-	dsts = p.GP.Destinations(1, 1)
+	dsts = p.GP.Destinations(nil, 1, 1)
 	if len(dsts) != 1 || dsts[0] != 0 {
 		t.Fatalf("Destinations(1, from=1) = %v, want [0]", dsts)
 	}

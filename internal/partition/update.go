@@ -313,9 +313,11 @@ func (p *Partitioned) ApplyUpdates(batch []graph.Update, place func(graph.Vertex
 			// Border-only change: clone the fragment, sharing its graph.
 			clone := *frag
 			clone.InBorder = newIn
+			clone.numberBorders()
 			newFrags[f] = &clone
 		} else {
 			frag.InBorder = newIn
+			frag.numberBorders()
 		}
 		ch := res.Changes[f]
 		if ch == nil {

@@ -53,6 +53,7 @@ func requireEquivalent(t *testing.T, step string, got, want *Partitioned) {
 		requireSameIDs(t, fmt.Sprintf("%s: frag %d Local", step, f), gf.Local, wf.Local)
 		requireSameIDs(t, fmt.Sprintf("%s: frag %d InBorder", step, f), gf.InBorder, wf.InBorder)
 		requireSameIDs(t, fmt.Sprintf("%s: frag %d OutBorder", step, f), gf.OutBorder, wf.OutBorder)
+		requireSlots(t, fmt.Sprintf("%s: frag %d", step, f), gf)
 		gs, ws := edgeMultiset(gf.Graph), edgeMultiset(wf.Graph)
 		if len(gs) != len(ws) {
 			t.Fatalf("%s: frag %d edge sets differ: %d vs %d distinct", step, f, len(gs), len(ws))

@@ -39,11 +39,8 @@ func (CC) PEval(ctx *core.Context) error {
 
 	// Message preamble: a cid variable per border node, initialized to the
 	// node's own ID (the largest value it can ever take).
-	for _, v := range ctx.Fragment.InBorder {
-		ctx.Declare(v, 0, float64(v), nil)
-	}
-	for _, v := range ctx.Fragment.OutBorder {
-		ctx.Declare(v, 0, float64(v), nil)
+	for s, v := range ctx.Fragment.Border() {
+		ctx.DeclareAt(s, 0, float64(v), nil)
 	}
 
 	st, _ := ctx.State.(*ccState)
@@ -128,17 +125,13 @@ func (CC) EvalDelta(ctx *core.Context, d core.FragmentDelta) (bool, error) {
 	return true, nil
 }
 
+// shipBorderCIDs records the cid of every border node, reading the dense
+// labelling by border slot; the state must be bound to the context's
+// fragment graph.
 func shipBorderCIDs(ctx *core.Context, st *ccState) {
-	ship := func(v graph.VertexID) {
-		if cid, ok := st.state.CID(v); ok {
-			ctx.SetVar(v, 0, float64(cid), nil)
-		}
-	}
-	for _, v := range ctx.Fragment.InBorder {
-		ship(v)
-	}
-	for _, v := range ctx.Fragment.OutBorder {
-		ship(v)
+	frag := ctx.Fragment
+	for s := 0; s < frag.NumBorder(); s++ {
+		ctx.SetVarAt(s, 0, float64(st.state.Label(frag.BorderIndex(s))), nil)
 	}
 }
 

@@ -77,11 +77,8 @@ func (CF) PEval(ctx *core.Context) error {
 
 	// Message preamble: a (factor vector, timestamp) variable per border
 	// node, initially empty at timestamp 0.
-	for _, v := range ctx.Fragment.InBorder {
-		ctx.Declare(v, 0, 0, nil)
-	}
-	for _, v := range ctx.Fragment.OutBorder {
-		ctx.Declare(v, 0, 0, nil)
+	for s := 0; s < ctx.Fragment.NumBorder(); s++ {
+		ctx.DeclareAt(s, 0, 0, nil)
 	}
 
 	// Sequential SGD over the local mini-batch.
@@ -130,18 +127,10 @@ func (CF) IncEval(ctx *core.Context, msgs []mpi.Update) error {
 // (carried in the update's Value so that the freshest vector wins
 // aggregation).
 func shipFactors(ctx *core.Context, st *cfState, timestamp int64) {
-	ship := func(v graph.VertexID) {
-		vec, ok := st.factors[v]
-		if !ok {
-			return
+	for s, v := range ctx.Fragment.Border() {
+		if vec, ok := st.factors[v]; ok {
+			ctx.SetVarAt(s, 0, float64(timestamp), mpi.Float64sToBytes(vec))
 		}
-		ctx.SetVar(v, 0, float64(timestamp), mpi.Float64sToBytes(vec))
-	}
-	for _, v := range ctx.Fragment.InBorder {
-		ship(v)
-	}
-	for _, v := range ctx.Fragment.OutBorder {
-		ship(v)
 	}
 }
 

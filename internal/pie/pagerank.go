@@ -129,11 +129,8 @@ func (PageRank) PEval(ctx *core.Context) error {
 	}
 	st := newPRState(ctx, 1.0)
 	ctx.State = st
-	for _, v := range ctx.Fragment.InBorder {
-		ctx.Declare(v, 0, 0, nil)
-	}
-	for _, v := range ctx.Fragment.OutBorder {
-		ctx.Declare(v, 0, 0, nil)
+	for s := 0; s < ctx.Fragment.NumBorder(); s++ {
+		ctx.DeclareAt(s, 0, 0, nil)
 	}
 	PageRank{}.iterate(ctx, q, st)
 	return nil
@@ -265,10 +262,13 @@ func (PageRank) iterate(ctx *core.Context, q PageRankQuery, st *prState) {
 	// Ship the converged outgoing mass, one variable per (border vertex,
 	// sending fragment) so contributions from different fragments do not
 	// overwrite each other at the receiver. Unchanged masses are deduplicated
-	// by SetVar, which is what eventually quiesces the exchange.
+	// by SetVar, which is what eventually quiesces the exchange. Mass only
+	// flows toward non-owned copies, which are exactly Fi.O, so every
+	// non-zero entry has a border slot.
+	frag := ctx.Fragment
 	for i := 0; i < n; i++ {
 		if mass := st.out[i]; mass != 0 {
-			ctx.SetVar(g.VertexAt(i), int64(ctx.Worker), mass, nil)
+			ctx.SetVarAt(frag.Slot(i), int64(ctx.Worker), mass, nil)
 		}
 	}
 }

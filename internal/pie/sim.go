@@ -56,20 +56,15 @@ func (s Sim) PEval(ctx *core.Context) error {
 	// Message preamble: a Boolean variable x_(u,v) per (query node, border
 	// node), true iff the labels are compatible (an incompatible pair can
 	// never match, so it starts false and is never shipped).
-	declare := func(v graph.VertexID) {
+	for s := 0; s < ctx.Fragment.NumBorder(); s++ {
+		label := g.Label(ctx.Fragment.BorderIndex(s))
 		for uq := 0; uq < q.NumVertices(); uq++ {
 			val := 0.0
-			if q.Label(uq) == g.LabelOf(v) {
+			if q.Label(uq) == label {
 				val = 1.0
 			}
-			ctx.Declare(v, int64(uq), val, nil)
+			ctx.DeclareAt(s, int64(uq), val, nil)
 		}
-	}
-	for _, v := range ctx.Fragment.InBorder {
-		declare(v)
-	}
-	for _, v := range ctx.Fragment.OutBorder {
-		declare(v)
 	}
 
 	st, _ := ctx.State.(*simState)
@@ -102,10 +97,10 @@ func (s Sim) localSimulation(ctx *core.Context, q, g *graph.Graph, idx *seq.SimI
 	for uq := 0; uq < nq; uq++ {
 		cands := make(map[int]bool)
 		for v := 0; v < g.NumVertices(); v++ {
-			id := g.VertexAt(v)
 			if frozen[v] {
-				// Border copy: status comes from the update parameter.
-				if ctx.VarValue(id, int64(uq), 0) > 0 {
+				// Border copy (every non-owned vertex is in Fi.O): status
+				// comes from the update parameter.
+				if x, _ := ctx.VarAt(frag.Slot(v), int64(uq)); x > 0 {
 					cands[v] = true
 				}
 				continue
@@ -213,22 +208,16 @@ func (s Sim) IncEval(ctx *core.Context, msgs []mpi.Update) error {
 // not (or no longer) a match of u. Values only go from true to false, so the
 // engine ships each falsification at most once.
 func shipFalsifiedMatches(ctx *core.Context, q, g *graph.Graph, sim seq.SimResult) {
-	ship := func(v graph.VertexID) {
-		if !ctx.Fragment.Owns(v) {
-			return // only the owner can falsify a vertex's matches
+	frag := ctx.Fragment
+	for s, v := range frag.Border() {
+		if !frag.Owns(v) {
+			continue // only the owner can falsify a vertex's matches
 		}
 		for uq := 0; uq < q.NumVertices(); uq++ {
-			u := q.VertexAt(uq)
-			if !sim[u][v] {
-				ctx.SetVar(v, int64(uq), 0, nil)
+			if !sim[q.VertexAt(uq)][v] {
+				ctx.SetVarAt(s, int64(uq), 0, nil)
 			}
 		}
-	}
-	for _, v := range ctx.Fragment.InBorder {
-		ship(v)
-	}
-	for _, v := range ctx.Fragment.OutBorder {
-		ship(v)
 	}
 }
 

@@ -100,14 +100,12 @@ func (SSSP) PEval(ctx *core.Context) error {
 	if !ok {
 		return fmt.Errorf("pie: SSSP query must be a graph.VertexID, got %T", ctx.Query)
 	}
-	g := ctx.Fragment.Graph
+	frag := ctx.Fragment
+	g := frag.Graph
 
 	// Message preamble: declare dist(s,v) = ∞ for every border node.
-	for _, v := range ctx.Fragment.InBorder {
-		ctx.Declare(v, 0, seq.Infinity, nil)
-	}
-	for _, v := range ctx.Fragment.OutBorder {
-		ctx.Declare(v, 0, seq.Infinity, nil)
+	for s := 0; s < frag.NumBorder(); s++ {
+		ctx.DeclareAt(s, 0, seq.Infinity, nil)
 	}
 
 	st, _ := ctx.State.(*ssspState)
@@ -123,11 +121,9 @@ func (SSSP) PEval(ctx *core.Context) error {
 	if i := g.IndexOf(source); i >= 0 {
 		seeds = append(seeds, seq.Seed{Index: i, Dist: 0})
 	}
-	for _, u := range ctx.Vars() {
-		if u.Value < seq.Infinity {
-			if i := g.IndexOf(graph.VertexID(u.Vertex)); i >= 0 {
-				seeds = append(seeds, seq.Seed{Index: i, Dist: u.Value})
-			}
+	for s := 0; s < frag.NumBorder(); s++ {
+		if d, ok := ctx.VarAt(s, 0); ok && d < seq.Infinity {
+			seeds = append(seeds, seq.Seed{Index: frag.BorderIndex(s), Dist: d})
 		}
 	}
 	seq.RelaxDense(g, st.dist, seeds, ctx.Pool())
@@ -288,16 +284,14 @@ func minEdgeWeight(g *graph.Graph, u, v graph.VertexID) (float64, bool) {
 }
 
 // shipBorderDistances records the current distance of every border node in
-// the update parameters; the engine ships only the ones that changed.
+// the update parameters, reading the dense distances by border slot; the
+// engine ships only the ones that changed. st must be bound to the context's
+// fragment graph.
 func shipBorderDistances(ctx *core.Context, st *ssspState) {
-	for _, v := range ctx.Fragment.InBorder {
-		if d := st.get(v); d < seq.Infinity {
-			ctx.SetVar(v, 0, d, nil)
-		}
-	}
-	for _, v := range ctx.Fragment.OutBorder {
-		if d := st.get(v); d < seq.Infinity {
-			ctx.SetVar(v, 0, d, nil)
+	frag := ctx.Fragment
+	for s := 0; s < frag.NumBorder(); s++ {
+		if d := st.dist[frag.BorderIndex(s)]; d < seq.Infinity {
+			ctx.SetVarAt(s, 0, d, nil)
 		}
 	}
 }

@@ -65,19 +65,15 @@ func (s SubIso) PEval(ctx *core.Context) error {
 	// vertices and ship the induced piece (plus its outgoing cross edges) to
 	// j as one designated message.
 	shared := make(map[int]map[graph.VertexID]bool)
-	addShared := func(v graph.VertexID) {
-		for _, dst := range ctx.GP.Destinations(v, ctx.Worker) {
+	var dsts []int
+	for _, v := range ctx.Fragment.Border() {
+		dsts = ctx.GP.Destinations(dsts[:0], v, ctx.Worker)
+		for _, dst := range dsts {
 			if shared[dst] == nil {
 				shared[dst] = make(map[graph.VertexID]bool)
 			}
 			shared[dst][v] = true
 		}
-	}
-	for _, v := range ctx.Fragment.InBorder {
-		addShared(v)
-	}
-	for _, v := range ctx.Fragment.OutBorder {
-		addShared(v)
 	}
 
 	dests := make([]int, 0, len(shared))
@@ -96,7 +92,7 @@ func (s SubIso) PEval(ctx *core.Context) error {
 	// A fragment with no border at all (a single-fragment run, or an isolated
 	// component) receives no messages and therefore no IncEval superstep, so
 	// it evaluates its matches right away.
-	if len(ctx.Fragment.InBorder) == 0 && len(ctx.Fragment.OutBorder) == 0 {
+	if ctx.Fragment.NumBorder() == 0 {
 		st.matches = seq.SubgraphIsomorphism(q, g, s.MaxMatches)
 	}
 	return nil
